@@ -42,7 +42,9 @@ ORDER = [
         "thm1_reduction",
     ]),
     ("Performance", [
-        "parallel_speedup",
+        "route_speedup",
+        "cdg_speedup",
+        "scale_sweep",
     ]),
     ("Extensions", [
         "ext_nas_ranger",

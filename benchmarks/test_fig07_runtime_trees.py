@@ -2,12 +2,12 @@
 
 Paper shape: the offline DFSSSP costs roughly an order of magnitude more
 wall time than MinHop (≈10x in OpenSM's C) — the price of global
-balancing plus cycle breaking — while remaining practical. In this pure-
+balancing plus cycle breaking — while remaining practical. In this
 Python reproduction the *constant factors* differ (our MinHop inner loop
-is interpreted Python while SSSP's hot path is heapq/NumPy), so the
-measured ratio lands near 1-2x; the assertions therefore bound the ratio
-within a generous envelope and check growth with size rather than the
-exact 10x. EXPERIMENTS.md discusses the deviation.
+is interpreted Python while DFSSSP's routing columns are vectorized
+NumPy), so the measured ratio lands near 2x; the assertions therefore
+bound the ratio within a generous envelope and check growth with size
+rather than the exact 10x. EXPERIMENTS.md discusses the deviation.
 """
 
 from conftest import SWEEP_SIZES, emit, run_once

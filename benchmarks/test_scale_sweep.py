@@ -1,9 +1,10 @@
 """Scale-sweep benchmark: 1k / 10k / 100k-endpoint XGFTs.
 
 The perf-regression gate (``test_perf_regression.py``) pins the hot path
-on a 384-terminal reference fabric; this sweep shows the fast path
-(shared-memory fan-out + numpy kernel + vectorized weight update) holds
-up at three orders of magnitude:
+on a 384-terminal reference fabric; this sweep shows the default engine
+(the exact column primitive of :mod:`repro.core.column`: hop table,
+min-hop refine under a checked weight bound, level-vectorized weight
+update) holds up at three orders of magnitude:
 
 ========  ==========================  =========  ==========
 tier      fabric                      terminals  channels
@@ -13,26 +14,25 @@ tier      fabric                      terminals  channels
 ``100k``  ``xgft(3,(50,50,40),(1,8,8))`` 100 000   237 120
 ========  ==========================  =========  ==========
 
-Per tier we record fast-path wall time, peak RSS
-(``resource.getrusage``), and a *sampled* pure-python serial estimate:
-the reference heap Dijkstra + farthest-first weight update is timed on a
-handful of evenly spaced destinations and extrapolated by the terminal
-count. Full pure-python runs at 10k+ take tens of minutes — exactly the
-wall this sweep documents breaking — so sampling keeps the gate cheap
-while staying honest (the per-destination cost is flat across
-destinations of one fabric).
+Per tier we record the default engine's full-route wall time, its
+column outcomes, peak RSS (``resource.getrusage``), and a *sampled*
+heap-oracle estimate: the reference heap Dijkstra + farthest-first
+weight update is timed on a handful of evenly spaced destinations and
+extrapolated by the terminal count. Full heap-oracle runs at 10k+ take
+tens of minutes, so sampling keeps the gate cheap while staying honest
+(the per-destination cost is flat across destinations of one fabric).
 
 The ``1k``/``10k`` tiers run everywhere (the CI smoke step); results
 land in ``benchmarks/results/BENCH_scale.json``. The ``100k`` tier needs
 a ~64 GB box and minutes of wall time, so it only runs with
 ``REPRO_SCALE_100K=1`` (the nightly leg): it allocates the full dense
-forwarding table (~41 GB), routes sampled destinations through the numpy
-kernel at true scale, and gates peak RSS under the ceiling.
+forwarding table (~41 GB), routes sampled destinations through the
+column primitive at true scale, and gates peak RSS under the ceiling.
 
 Gates:
 
-* **speedup** — the 10k fast path must be ≥ 5× the extrapolated python
-  serial time (currently ~12×);
+* **speedup** — the 10k default route must be ≥ 5× the extrapolated
+  heap-oracle time;
 * **memory** — peak RSS per tier stays under its ceiling (the 100k
   ceiling, 64 GB, is the headline: dense tables at 100k endpoints fit);
 * **regression** — fast-path time per calibration unit must not exceed
@@ -57,13 +57,8 @@ import numpy as np
 import pytest
 
 from repro.core import SSSPEngine
-from repro.core.sssp import (
-    dijkstra_to_dest,
-    update_weights_for_dest,
-    update_weights_for_dest_fast,
-)
+from repro.core.column import ColumnRouter, dijkstra_to_dest, update_weights_for_dest
 from repro.network.topologies import xgft
-from repro.parallel.kernel import dijkstra_to_dest_numpy
 from repro.utils.reporting import Table
 
 from conftest import RESULTS_DIR, emit
@@ -87,9 +82,6 @@ MIN_SPEEDUP_10K = 5.0
 
 #: fast-path regression tolerance vs the committed baseline
 REGRESSION_FACTOR = 1.3
-
-#: fast-path configuration: shared-memory fan-out + numpy kernel
-FAST_WORKERS = 2
 
 RUN_100K = os.environ.get("REPRO_SCALE_100K") == "1"
 
@@ -127,9 +119,8 @@ def measure_tier(name: str) -> dict:
     per_dest = _python_per_dest_s(fabric, cfg["sample"])
     est_python_s = per_dest * fabric.num_terminals
 
-    engine = SSSPEngine(workers=FAST_WORKERS, kernel="numpy")
     start = time.perf_counter()
-    result = engine.route(fabric)
+    result = SSSPEngine().route(fabric)
     fast_s = time.perf_counter() - start
     assert result.tables.next_channel.shape[0] == fabric.num_nodes
 
@@ -143,8 +134,7 @@ def measure_tier(name: str) -> dict:
         "python_per_dest_s": per_dest,
         "python_serial_est_s": est_python_s,
         "fast_s": fast_s,
-        "fast_workers": FAST_WORKERS,
-        "fast_kernel": "numpy",
+        "columns": result.stats["columns"],
         "speedup_vs_python_est": est_python_s / fast_s,
         "fast_per_calib": fast_s / calib,
         "peak_rss_mb": _peak_rss_mb(),
@@ -157,26 +147,24 @@ def measure_100k() -> dict:
 
     Allocates the full dense forwarding table (the dominant allocation of
     a real route: ``num_nodes x num_terminals`` int32, ~41 GB here), then
-    routes sampled destinations through the numpy kernel + vectorized
+    routes sampled destinations through the column primitive + vectorized
     weight update at true scale, filling their columns. Peak RSS is the
     gate; wall time per destination is extrapolated for the record.
     """
     cfg = TIERS["100k"]
     fabric = xgft(*cfg["xgft"])
     calib = _calibrate()
-    is_term = np.zeros(fabric.num_nodes, dtype=bool)
-    is_term[np.asarray(fabric.terminals)] = True
-    weights = np.ones(fabric.num_channels, dtype=np.int64)
+    T = fabric.num_terminals
+    weights = np.full(fabric.num_channels, T * T + 1, dtype=np.int64)
     dests = _sample_dests(fabric, cfg["sample"])
 
     # -1 (not np.empty) so every page is touched and counted in RSS.
     table = np.full((fabric.num_nodes, fabric.num_terminals), -1, dtype=np.int32)
 
     start = time.perf_counter()
+    router = ColumnRouter(fabric, dests=dests)
     for i, dest in enumerate(dests):
-        dist, parent = dijkstra_to_dest_numpy(fabric, dest, weights)
-        update_weights_for_dest_fast(fabric, dest, dist, parent, weights, is_term)
-        table[:, i] = parent
+        table[:, i], _ = router.advance(dest, weights)
     per_dest = (time.perf_counter() - start) / len(dests)
 
     py_per_dest = _python_per_dest_s(fabric, 2)
@@ -210,9 +198,9 @@ def _emit_scale(tiers: dict) -> None:
     SCALE_JSON.write_text(json.dumps(record, indent=1) + "\n")
 
     table = Table(
-        ["tier", "terminals", "fast [s]", "python est [s]", "speedup", "peak RSS [MB]"],
-        title=f"scale sweep: shared-memory fan-out + numpy kernel "
-        f"(workers={FAST_WORKERS}) vs sampled pure-python serial estimate",
+        ["tier", "terminals", "default [s]", "oracle est [s]", "speedup", "peak RSS [MB]"],
+        title="scale sweep: default SSSP route (column primitive) vs sampled "
+        "heap-oracle estimate",
     )
     for name in ("1k", "10k", "100k"):
         t = record["tiers"].get(name)

@@ -67,12 +67,12 @@ import json
 import os
 import sys
 
+from repro.core.column import OUTCOMES as COLUMN_OUTCOMES
 from repro.exceptions import ReproError
 from repro.network import load_fabric, save_fabric
 from repro.network import topologies as topo
 from repro.network.fabric import Fabric
 from repro.obs import JsonlSink, get_registry, set_sink
-from repro.parallel.kernel import KERNELS
 from repro.routing import PAPER_ENGINES, extract_paths, make_engine
 from repro.routing.base import LayeredRouting
 from repro.deadlock import verify_deadlock_free
@@ -137,47 +137,25 @@ def _add_topo_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-#: engines that understand the parallel-execution options
-PARALLEL_ENGINES = ("sssp", "dfsssp")
-
-
-def _add_parallel_args(p: argparse.ArgumentParser) -> None:
+def _add_engine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--workers", type=int, default=0,
-        help="fan SSSP/DFSSSP destination columns over N worker processes "
-        "(0 = serial; results are bit-identical either way)",
-    )
-    p.add_argument(
-        "--kernel", choices=KERNELS, default="python",
-        help="SSSP/DFSSSP shortest-path kernel (the vectorized 'numpy' "
-        "kernel is bit-identical to the reference 'python' heap)",
-    )
-    p.add_argument(
-        "--cdg", choices=("incremental", "sharded", "rebuild"),
+        "--cdg", choices=("incremental", "rebuild"),
         default="incremental",
         help="DFSSSP cycle-breaking engine (the vectorized 'incremental' "
-        "CSR engine, the 'sharded' independent-SCC batcher and the "
-        "'rebuild' reference are all bit-identical)",
+        "CSR engine and the 'rebuild' reference are bit-identical)",
     )
 
 
 def _engine_opts(args, name: str) -> dict:
-    """Parallel options for ``make_engine(name, ...)``.
+    """Engine options for ``make_engine(name, ...)``.
 
-    Only SSSP/DFSSSP accept ``workers``/``kernel``; other engines get an
-    empty dict so multi-engine commands (``route --engines minhop,dfsssp
-    --workers 4``) keep working.
+    Only DFSSSP accepts ``cdg``; other engines get an empty dict so
+    multi-engine commands (``route --engines minhop,dfsssp --cdg
+    rebuild``) keep working.
     """
-    if name not in PARALLEL_ENGINES:
-        return {}
-    opts: dict = {}
-    if getattr(args, "workers", 0):
-        opts["workers"] = args.workers
-    if getattr(args, "kernel", "python") != "python":
-        opts["kernel"] = args.kernel
     if name == "dfsssp" and getattr(args, "cdg", "incremental") != "incremental":
-        opts["cdg"] = args.cdg
-    return opts
+        return {"cdg": args.cdg}
+    return {}
 
 
 def _add_obs_args(p: argparse.ArgumentParser) -> None:
@@ -245,8 +223,11 @@ def cmd_topo(args) -> int:
 
 def cmd_route(args) -> int:
     fabric = _build_topo(args)
+    # proven / validated / fallback: how SSSP-family engines established
+    # each routing column (see repro.core.column); "-" for other engines.
     table = Table(
-        ["engine", "status", "deadlock-free", "layers", "mean hops", "max hops"],
+        ["engine", "status", "deadlock-free", "layers", "mean hops", "max hops",
+         *COLUMN_OUTCOMES],
         title=f"routing on {fabric}",
     )
     for name in args.engines.split(","):
@@ -256,6 +237,7 @@ def cmd_route(args) -> int:
             layered = result.layered or LayeredRouting.single_layer(result.tables)
             report = verify_deadlock_free(layered, paths)
             lengths = paths.lengths()
+            columns = result.stats.get("columns") or {}
             table.add_row(
                 [
                     name,
@@ -264,10 +246,12 @@ def cmd_route(args) -> int:
                     result.stats.get("layers_needed", result.num_layers),
                     float(lengths.mean()),
                     int(lengths.max(initial=0)),
+                    *(columns.get(o) for o in COLUMN_OUTCOMES),
                 ]
             )
         except ReproError as err:
-            table.add_row([name, f"failed: {type(err).__name__}", None, None, None, None])
+            table.add_row([name, f"failed: {type(err).__name__}",
+                           *[None] * (len(table.columns) - 2)])
     print(table.to_json() if args.json else table.render())
     return 0
 
@@ -503,12 +487,8 @@ def cmd_des(args) -> int:
             raw = json.load(fh)
     scenarios = raw if isinstance(raw, list) else [raw]
     # CLI-pinned engine options win over per-scenario ones so a sweep can
-    # run every scenario under one kernel/worker configuration.
+    # run every scenario under one cycle-breaker configuration.
     cli_opts: dict = {}
-    if getattr(args, "workers", 0):
-        cli_opts["workers"] = args.workers
-    if getattr(args, "kernel", "python") != "python":
-        cli_opts["kernel"] = args.kernel
     if getattr(args, "cdg", "incremental") != "incremental":
         cli_opts["cdg"] = args.cdg
     if cli_opts:
@@ -1050,7 +1030,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("route", help="run routing engines, show path stats")
     _add_topo_args(p)
     _add_obs_args(p)
-    _add_parallel_args(p)
+    _add_engine_args(p)
     p.add_argument("--engines", "--engine", default=",".join(PAPER_ENGINES))
     p.add_argument("--json", action="store_true", help="machine-readable JSON output")
     p.set_defaults(func=cmd_route)
@@ -1058,7 +1038,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("simulate", help="effective bisection bandwidth")
     _add_topo_args(p)
     _add_obs_args(p)
-    _add_parallel_args(p)
+    _add_engine_args(p)
     p.add_argument("--engines", "--engine", default="minhop,dfsssp")
     p.add_argument("--patterns", type=int, default=50)
     p.add_argument("--json", action="store_true", help="machine-readable JSON output")
@@ -1072,7 +1052,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("throughput", help="open-loop saturation sweep")
     _add_topo_args(p)
     _add_obs_args(p)
-    _add_parallel_args(p)
+    _add_engine_args(p)
     p.add_argument("--engines", "--engine", default="dfsssp")
     p.add_argument("--rates", default="0.1,0.3,0.6,0.9")
     p.add_argument("--buffers", type=int, default=2)
@@ -1097,7 +1077,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("deadlock", help="flit-level deadlock experiment")
     _add_topo_args(p)
     _add_obs_args(p)
-    _add_parallel_args(p)
+    _add_engine_args(p)
     p.add_argument("--engines", "--engine", default="sssp,dfsssp")
     p.add_argument("--shift", type=int, default=2)
     p.add_argument("--buffers", type=int, default=1)
@@ -1121,13 +1101,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument("--json", action="store_true", help="print the JSON report")
     _add_obs_args(p)
-    _add_parallel_args(p)
+    _add_engine_args(p)
     p.set_defaults(func=cmd_des)
 
     p = sub.add_parser("chaos", help="fault-injection soak (degrade/repair/verify)")
     _add_topo_args(p)
     _add_obs_args(p)
-    _add_parallel_args(p)
+    _add_engine_args(p)
     p.add_argument("--engine", default="dfsssp", help="engine under test")
     p.add_argument("--events", type=int, default=50, help="fault events to inject")
     p.add_argument("--chaos-seed", type=int, default=0, help="fault-stream RNG seed")
@@ -1148,7 +1128,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     _add_topo_args(p)
     _add_obs_args(p)
-    _add_parallel_args(p)
+    _add_engine_args(p)
     p.add_argument("--engine", default="dfsssp", help="primary routing engine")
     p.add_argument("--events", type=int, default=50, help="fault events to inject")
     p.add_argument("--chaos-seed", type=int, default=0, help="fault-stream RNG seed")
@@ -1273,7 +1253,7 @@ def main(argv: list[str] | None = None) -> int:
         "--engine", default="dfsssp", choices=sorted(PAPER_ENGINES),
         help="engine to route with when no routing source is given",
     )
-    _add_parallel_args(p)
+    _add_engine_args(p)
     p.add_argument(
         "--routing", metavar="NPZ",
         help="certify a saved routing state instead of routing fresh",

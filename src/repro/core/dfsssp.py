@@ -45,22 +45,15 @@ class DFSSSPEngine(RoutingEngine):
     cdg:
         Cycle-breaking engine for offline mode: ``"incremental"``
         (default — the vectorized CSR engine of
-        :mod:`repro.deadlock.incremental`), ``"sharded"`` (batches
-        eviction across independent SCC shards per layer, optionally
-        fanning them out over ``workers`` processes — see
-        :mod:`repro.deadlock.sharded`) or ``"rebuild"`` (the dict-backed
-        reference). All produce bit-identical layer assignments; the
-        benchmark suite gates the incremental engine at ≥3× the
-        rebuild's speed.
+        :mod:`repro.deadlock.incremental`) or ``"rebuild"`` (the
+        dict-backed reference). Both produce bit-identical layer
+        assignments; the benchmark suite gates the incremental engine at
+        ≥3× the rebuild's speed.
     balance:
         Spread paths over unused layers after cycle breaking (Algorithm
         2's final step).
-    dest_order / seed / count_switch_sources / workers / kernel / batch:
-        Forwarded to :class:`SSSPEngine` — in particular ``workers=N``
-        fans the SSSP phase out over a process pool and ``kernel="numpy"``
-        selects the vectorized Dijkstra, both bit-identical to the serial
-        reference (the layer assignment consumes identical tables, so the
-        layered result is identical too).
+    dest_order / seed / count_switch_sources:
+        Forwarded to :class:`SSSPEngine`.
     """
 
     name = "dfsssp"
@@ -76,17 +69,11 @@ class DFSSSPEngine(RoutingEngine):
         dest_order: str = "index",
         seed=None,
         count_switch_sources: bool = False,
-        workers: int = 0,
-        kernel: str = "python",
-        batch: int | None = None,
-        shm: bool = True,
     ):
         if mode not in ("offline", "online"):
             raise ValueError(f"mode must be 'offline' or 'online', got {mode!r}")
-        if cdg not in ("incremental", "sharded", "rebuild"):
-            raise ValueError(
-                f"cdg must be 'incremental', 'sharded' or 'rebuild', got {cdg!r}"
-            )
+        if cdg not in ("incremental", "rebuild"):
+            raise ValueError(f"cdg must be 'incremental' or 'rebuild', got {cdg!r}")
         self.max_layers = max_layers
         self.heuristic = heuristic
         self.mode = mode
@@ -96,16 +83,12 @@ class DFSSSPEngine(RoutingEngine):
             dest_order=dest_order,
             seed=seed,
             count_switch_sources=count_switch_sources,
-            workers=workers,
-            kernel=kernel,
-            batch=batch,
-            shm=shm,
         )
 
     def reroute(self, prior, degraded) -> RoutingResult:
         """Incrementally repair ``prior`` on the degraded fabric.
 
-        Re-runs Dijkstra only for the destinations whose forwarding
+        Recomputes only the destination columns whose forwarding
         entries traverse dead channels, splices the repaired columns into
         the tables, then re-inserts the repaired paths into the layer
         CDGs — escalating a path to another layer only when keeping its
@@ -131,7 +114,7 @@ class DFSSSPEngine(RoutingEngine):
 
     def _route(self, fabric: Fabric) -> RoutingResult:
         with span("dfsssp.sssp", engine=self.name) as sp_sssp:
-            tables, total_weight, weights = self._sssp._run(fabric)
+            tables, total_weight, weights, columns = self._sssp._run(fabric)
             tables.engine = self.name  # routes are SSSP's, the engine is ours
         t_sssp = sp_sssp.duration
 
@@ -149,14 +132,6 @@ class DFSSSPEngine(RoutingEngine):
                     from repro.deadlock.incremental import assign_layers_incremental
 
                     assign = assign_layers_incremental
-                elif self.cdg == "sharded":
-                    from functools import partial
-
-                    from repro.deadlock.sharded import assign_layers_sharded
-
-                    assign = partial(
-                        assign_layers_sharded, workers=self._sssp.workers
-                    )
                 else:
                     assign = assign_layers_offline
                 assignment = assign(
@@ -203,6 +178,7 @@ class DFSSSPEngine(RoutingEngine):
                 "cycles_broken": assignment.cycles_broken,
                 "paths_moved": assignment.paths_moved,
                 "total_balancing_weight": total_weight,
+                "columns": columns,
                 "time_sssp_s": t_sssp,
                 "time_layers_s": t_layers,
             },

@@ -7,7 +7,7 @@ OpenSM's (DF)SSSP implementation — the paper's production code — treats
 every LID as a separate destination of the balancing loop, which is
 exactly what we reproduce:
 
-* one Dijkstra per (terminal, lid-offset) pair against the *shared*
+* one routing column per (terminal, lid-offset) pair against the *shared*
   cumulative edge weights, so the per-offset trees diverge and the
   "planes" complement each other;
 * a single virtual-lane assignment over the union of all planes' paths
@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.layers import DEFAULT_MAX_LAYERS, assign_layers_offline
-from repro.core.sssp import _dijkstra_to_dest
+from repro.core.column import ColumnRouter, record_column_counts
 from repro.deadlock.cdg import ChannelDependencyGraph
 from repro.deadlock.cycles import find_any_cycle
 from repro.exceptions import RoutingError, SimulationError
@@ -147,22 +147,15 @@ class MultipathDFSSSPEngine:
         plane_tables = [
             np.full((fabric.num_nodes, T), -1, dtype=np.int32) for _ in range(K)
         ]
-        is_term = fabric.kinds == 1
 
         # OpenSM routes LIDs in order: offset-major interleaving makes the
         # planes diverge destination by destination.
-        from repro.core.sssp import SSSPEngine
-
-        updater = SSSPEngine()
-        chan_src = fabric.channels.src
+        router = ColumnRouter(fabric)
         for t_idx in range(T):
             dest = int(fabric.terminals[t_idx])
             for plane in range(K):
-                dist, parent = _dijkstra_to_dest(fabric, dest, weights)
-                plane_tables[plane][:, t_idx] = parent
-                updater._update_weights(
-                    fabric, dest, dist, parent, weights, is_term, chan_src
-                )
+                plane_tables[plane][:, t_idx], _ = router.advance(dest, weights)
+        columns = record_column_counts(router.counts)
 
         tables = [
             RoutingTables(fabric, plane_tables[k], engine=f"{self.name}[{k}]")
@@ -189,6 +182,7 @@ class MultipathDFSSSPEngine:
                 "planes": K,
                 "layers_needed": assignment.layers_needed,
                 "cycles_broken": assignment.cycles_broken,
+                "columns": columns,
             },
         )
 

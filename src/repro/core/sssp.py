@@ -1,42 +1,57 @@
 """Single-source-shortest-path routing — the paper's Algorithm 1.
 
-SSSP routing balances routes *globally*: it runs one weighted Dijkstra
-per destination and, after each run, increases every channel's weight by
-the number of terminal-to-destination paths crossing it. Later
-destinations therefore avoid channels that earlier destinations loaded —
-unlike MinHop, whose balancing is per-switch-local.
+SSSP routing balances routes *globally*: it computes one weighted
+shortest-path column per destination and, after each, increases every
+channel's weight by the number of terminal-to-destination paths crossing
+it. Later destinations therefore avoid channels that earlier destinations
+loaded — unlike MinHop, whose balancing is per-switch-local.
 
 Two fidelity details from §II:
 
-* **Minimal paths.** Edge weights start at ``W0 = num_terminals**2 + 1``.
-  The total weight ever *added* by balancing is at most the number of
-  CA-to-CA paths (< W0), so a detour (≥ one extra channel, ≥ W0 extra
-  cost) can never beat a hop-minimal path. Tests assert zero minimality
-  violations.
+* **Minimal paths.** Edge weights start at ``W0 = num_terminals**2 + 1``
+  so that balancing weight rarely outweighs an extra hop: one fresh
+  route adds at most ``T·(T−1) < W0`` to any single channel. That is a
+  per-channel bound, not a path bound, and repairs carry weights forward
+  (chained repairs push channels well past ``W0``), so nothing here
+  *assumes* hop-minimality: every column is checked against the
+  run-time weight bound of :mod:`repro.core.column` and falls back to
+  the heap Dijkstra whenever the bound cannot prove it.
 * **Multigraph awareness.** Parallel cables are distinct channels with
   individual weights, so trunks (Deimos' 30-cable bundles) get balanced
   route-by-route.
 
-The per-destination weight update uses subtree counting: processing the
-shortest-path tree in decreasing-distance order accumulates, for every
-channel, how many terminal sources route across it — O(V) per
-destination instead of the naive O(T · diameter).
+Columns come from :class:`~repro.core.column.ColumnRouter` — bit-identical
+to :func:`dijkstra_to_dest`, which stays as its fallback and as the test
+oracle. The per-destination weight update uses subtree counting: every
+channel gains the number of terminal sources routed across it, O(V) per
+destination instead of the naive O(T · diameter);
+:func:`update_weights_for_dest_fast` is the production version and
+:func:`update_weights_for_dest` (farthest-first) its oracle.
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
+from repro.core.column import (
+    ColumnRouter,
+    dijkstra_to_dest,
+    record_column_counts,
+    update_weights_for_dest,
+    update_weights_for_dest_fast,
+)
 from repro.network.fabric import Fabric
 from repro.obs import DURATION_BUCKETS, get_hooks, get_registry, span
 from repro.routing.base import RoutingEngine, RoutingResult, RoutingTables
 from repro.service.budget import check_budget
 from repro.utils.prng import make_rng, stable_fabric_seed
 
-#: per-destination shortest-path kernels (see :mod:`repro.parallel.kernel`).
-KERNELS = ("python", "numpy", "native")
+__all__ = [
+    "SSSPEngine",
+    "dijkstra_to_dest",
+    "update_weights_for_dest",
+    "update_weights_for_dest_fast",
+]
 
 
 class SSSPEngine(RoutingEngine):
@@ -56,26 +71,6 @@ class SSSPEngine(RoutingEngine):
         Whether switches count as path sources in the weight update. The
         paper's OpenSM implementation balances CA-to-CA routes only
         (default False).
-    workers:
-        0 (default) routes serially in-process. ``N >= 1`` fans the
-        per-destination columns out over an ``N``-process pool
-        (:mod:`repro.parallel.executor`); the result is bit-identical to
-        the serial run.
-    kernel:
-        ``"python"`` (reference heap Dijkstra, default), ``"numpy"``
-        (vectorized masked-argmin kernel) or ``"native"`` (numba-jit CSR
-        kernel, degrading to ``"python"`` with a warning when numba is
-        absent). All are bit-identical; see :mod:`repro.parallel.kernel`
-        and :mod:`repro.parallel.native`.
-    batch:
-        Hop columns per parallel batch (default ``4 * workers``). Only
-        used when ``workers >= 1``; batching affects scheduling and span
-        granularity, never results.
-    shm:
-        Parallel transport (``workers >= 1`` only): True (default) maps
-        the fabric and the result columns into shared memory, False
-        ships them through pickling. Bit-identical either way; see
-        :mod:`repro.parallel.shm`.
     """
 
     name = "sssp"
@@ -86,35 +81,25 @@ class SSSPEngine(RoutingEngine):
         dest_order: str = "index",
         seed=None,
         count_switch_sources: bool = False,
-        workers: int = 0,
-        kernel: str = "python",
-        batch: int | None = None,
-        shm: bool = True,
     ):
         if dest_order not in ("index", "random"):
             raise ValueError(f"dest_order must be 'index' or 'random', got {dest_order!r}")
-        if kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        if batch is not None and batch < 1:
-            raise ValueError(f"batch must be >= 1 or None, got {batch}")
         self.dest_order = dest_order
         self.seed = seed
         self.count_switch_sources = count_switch_sources
-        self.workers = workers
-        self.kernel = kernel
-        self.batch = batch
-        self.shm = shm
 
     # ------------------------------------------------------------------
     def _route(self, fabric: Fabric) -> RoutingResult:
-        tables, total_weight, weights = self._run(fabric)
+        tables, total_weight, weights, columns = self._run(fabric)
         return RoutingResult(
             tables=tables,
             layered=None,
             deadlock_free=False,
-            stats={"engine": self.name, "total_balancing_weight": total_weight},
+            stats={
+                "engine": self.name,
+                "total_balancing_weight": total_weight,
+                "columns": columns,
+            },
             channel_weights=weights,
         )
 
@@ -147,8 +132,8 @@ class SSSPEngine(RoutingEngine):
 
         An explicit ``seed`` wins; otherwise (``seed=None``) the seed is
         derived deterministically from the fabric so that ``dest_order=
-        "random"`` stays bit-reproducible across processes — the parallel
-        executor, checkpoint replay and the differential tests rely on it.
+        "random"`` stays bit-reproducible across processes — checkpoint
+        replay and the differential tests rely on it.
         """
         return self.seed if self.seed is not None else stable_fabric_seed(fabric)
 
@@ -158,64 +143,41 @@ class SSSPEngine(RoutingEngine):
             make_rng(self.resolved_seed(fabric)).shuffle(order)
         return order
 
-    def _run(self, fabric: Fabric) -> tuple[RoutingTables, int, np.ndarray]:
+    def _run(self, fabric: Fabric) -> tuple[RoutingTables, int, np.ndarray, dict]:
         T = fabric.num_terminals
         w0 = T * T + 1
         order = self._dest_order(fabric)
-
-        if self.workers:
-            from repro.parallel.executor import run_parallel_sssp
-
-            next_channel, weights = run_parallel_sssp(
-                fabric,
-                order,
-                workers=self.workers,
-                kernel=self.kernel,
-                batch=self.batch,
-                count_switch_sources=self.count_switch_sources,
-                engine_name=self.name,
-                use_shm=self.shm,
-            )
-            total = int(weights.sum() - w0 * fabric.num_channels)
-            return RoutingTables(fabric, next_channel, engine=self.name), total, weights
-
         weights = np.full(fabric.num_channels, w0, dtype=np.int64)
         next_channel = np.full((fabric.num_nodes, T), -1, dtype=np.int32)
-        from repro.parallel.kernel import resolve_kernel
-
-        dijkstra = resolve_kernel(self.kernel)
 
         reg = get_registry()
         m_sources = reg.counter(
-            "sssp_sources_routed", "destination terminals routed (one Dijkstra each)"
+            "sssp_sources_routed", "destination terminals routed (one column each)"
         )
         m_updates = reg.counter(
-            "sssp_edge_weight_updates", "per-channel weight increments applied after Dijkstras"
+            "sssp_edge_weight_updates", "per-channel weight increments applied after columns"
         )
-        m_dijkstra = reg.histogram(
-            "sssp_dijkstra_seconds", "wall time per single-destination Dijkstra",
+        m_column = reg.histogram(
+            "sssp_dijkstra_seconds", "wall time per destination column (refine + weight update)",
             buckets=DURATION_BUCKETS,
         )
         hooks = get_hooks()
 
-        chan_src = fabric.channels.src
-        is_term = fabric.kinds == 1  # NodeKind.TERMINAL
         with span("sssp.run", engine=self.name, destinations=int(T)):
+            router = ColumnRouter(fabric, count_switch_sources=self.count_switch_sources)
             for t_idx in order:
                 check_budget()  # cooperative deadline (repro.service)
                 dest = int(fabric.terminals[t_idx])
                 with span("sssp.dijkstra", dest=dest) as sp:
-                    dist, parent = dijkstra(fabric, dest, weights)
+                    parent, outcome = router.advance(dest, weights)
                     next_channel[:, t_idx] = parent
-                    self._update_weights(
-                        fabric, dest, dist, parent, weights, is_term, chan_src
-                    )
+                    sp.set_attr("outcome", outcome)
                 # One `weights[c] += ...` happened per node with a parent
                 # channel; counted vectorised to keep the hot loop clean.
                 updates = int(np.count_nonzero(parent >= 0))
                 m_sources.inc()
                 m_updates.inc(updates)
-                m_dijkstra.observe(sp.duration)
+                m_column.observe(sp.duration)
                 hooks.iteration(
                     engine=self.name,
                     iteration=int(t_idx),
@@ -223,191 +185,7 @@ class SSSPEngine(RoutingEngine):
                     weight_updates=updates,
                     dijkstra_seconds=sp.duration,
                 )
+            columns = record_column_counts(router.counts)
 
         total = int(weights.sum() - w0 * fabric.num_channels)
-        return RoutingTables(fabric, next_channel, engine=self.name), total, weights
-
-    # ------------------------------------------------------------------
-    def _update_weights(self, fabric, dest, dist, parent, weights, is_term, chan_src) -> None:
-        if self.kernel == "numpy":
-            # Same kernel family as the Dijkstra: stays vectorized.
-            update = update_weights_for_dest_fast
-        elif self.kernel == "native":
-            from repro.parallel import native
-
-            update = (
-                update_weights_for_dest_native
-                if native.numba_available()
-                else update_weights_for_dest  # degraded to "python" wholesale
-            )
-        else:
-            update = update_weights_for_dest
-        update(
-            fabric, dest, dist, parent, weights, is_term,
-            count_switch_sources=self.count_switch_sources,
-        )
-
-
-def update_weights_for_dest(
-    fabric: Fabric,
-    dest: int,
-    dist: np.ndarray,
-    parent: np.ndarray,
-    weights: np.ndarray,
-    is_term: np.ndarray,
-    count_switch_sources: bool = False,
-) -> None:
-    """Add, to each channel, the number of (terminal) sources whose path
-    to ``dest`` crosses it (subtree counting)."""
-    if count_switch_sources:
-        cnt = np.ones(fabric.num_nodes, dtype=np.int64)
-    else:
-        cnt = is_term.astype(np.int64).copy()
-    cnt[dest] = 0
-    finite = np.flatnonzero(dist < np.iinfo(np.int64).max)
-    order = finite[np.argsort(dist[finite])[::-1]]  # farthest first
-    for v in order:
-        c = parent[v]
-        if c < 0:
-            continue
-        weights[c] += cnt[v]
-        # The parent channel c = (v -> u); all of v's sources continue
-        # through u's parent channel next.
-        u = fabric.channels.dst[c]
-        cnt[u] += cnt[v]
-
-
-def update_weights_for_dest_fast(
-    fabric: Fabric,
-    dest: int,
-    dist: np.ndarray,
-    parent: np.ndarray,
-    weights: np.ndarray,
-    is_term: np.ndarray,
-    count_switch_sources: bool = False,
-) -> None:
-    """Vectorized :func:`update_weights_for_dest` — exact, not approximate.
-
-    The reference walks nodes farthest-first; exactness only needs a
-    *topological* order of the shortest-path tree (the increments are
-    integer adds, which commute, and each node's count must be final
-    before its parent consumes it). This version levels the tree by
-    parent-pointer depth and applies one whole level per numpy operation,
-    deepest level first. Within a level the parent channels are distinct
-    (one per source node), so the fancy-indexed ``+=`` on ``weights`` is
-    exact; the node counts funnel through ``np.add.at``. Bit-identical to
-    the reference on every input — the differential suite asserts it.
-    """
-    n = fabric.num_nodes
-    chan_dst = fabric.channels.dst
-    if count_switch_sources:
-        cnt = np.ones(n, dtype=np.int64)
-    else:
-        cnt = is_term.astype(np.int64)
-    cnt[dest] = 0
-    have = np.flatnonzero(parent >= 0)  # nodes that route via a parent channel
-    if not len(have):
-        return
-    pchan = parent[have].astype(np.int64)
-    pnode = chan_dst[pchan]
-    # Depth of every routing node in the parent-pointer tree. Parent
-    # chains end at `dest`, whose depth is 0; one pass resolves one level.
-    pos = np.full(n, -1, dtype=np.int64)
-    pos[have] = np.arange(len(have))
-    pidx = pos[pnode]  # index of the parent within `have`; -1 => parent is dest
-    depth = np.where(pidx < 0, 1, -1).astype(np.int64)
-    todo = np.flatnonzero(depth < 0)
-    while len(todo):
-        pd = depth[pidx[todo]]
-        ready = pd > 0
-        if not ready.any():  # pragma: no cover - impossible for tree parents
-            raise ValueError("parent pointers contain a cycle")
-        depth[todo[ready]] = pd[ready] + 1
-        todo = todo[~ready]
-    # Deepest level first: every child's count is final before the parent
-    # level reads it, the same invariant the farthest-first loop keeps.
-    for d in range(int(depth.max()), 0, -1):
-        sel = np.flatnonzero(depth == d)
-        contrib = cnt[have[sel]]
-        weights[pchan[sel]] += contrib  # pchan unique per source node
-        np.add.at(cnt, pnode[sel], contrib)
-
-
-def update_weights_for_dest_native(
-    fabric: Fabric,
-    dest: int,
-    dist: np.ndarray,
-    parent: np.ndarray,
-    weights: np.ndarray,
-    is_term: np.ndarray,
-    count_switch_sources: bool = False,
-) -> None:
-    """Jitted :func:`update_weights_for_dest` (numba path only).
-
-    Runs the reference farthest-first loop in machine code; the caller
-    (:meth:`SSSPEngine._update_weights`) already fell back to the
-    reference when numba is absent.
-    """
-    from repro.parallel import native
-
-    impl = native.load_native()
-    if impl is None:  # pragma: no cover - callers gate on numba_available
-        update_weights_for_dest(
-            fabric, dest, dist, parent, weights, is_term,
-            count_switch_sources=count_switch_sources,
-        )
-        return
-    if count_switch_sources:
-        cnt = np.ones(fabric.num_nodes, dtype=np.int64)
-    else:
-        cnt = is_term.astype(np.int64)
-    cnt[dest] = 0
-    finite = np.flatnonzero(dist < np.iinfo(np.int64).max)
-    order = finite[np.argsort(dist[finite])[::-1]]  # farthest first
-    impl.update_weights_csr(
-        dest, dist, parent, weights, cnt, fabric.channels.dst, order
-    )
-
-
-def dijkstra_to_dest(fabric: Fabric, dest: int, weights: np.ndarray):
-    """Weighted shortest paths from every node *to* ``dest``.
-
-    Returns ``(dist, parent)`` where ``parent[v]`` is the first channel of
-    ``v``'s path toward ``dest`` (-1 for ``dest`` itself / unreachable).
-    Ties break on (distance, node id, channel id) for determinism.
-    """
-    INF = np.iinfo(np.int64).max
-    dist = np.full(fabric.num_nodes, INF, dtype=np.int64)
-    parent = np.full(fabric.num_nodes, -1, dtype=np.int32)
-    dist[dest] = 0
-    heap: list[tuple[int, int]] = [(0, dest)]
-    chan_dst = fabric.channels.dst
-    reverse = fabric.channels.reverse
-    settled = np.zeros(fabric.num_nodes, dtype=bool)
-    polls = 0
-    while heap:
-        polls += 1
-        if not polls & 0x3FF:  # poll the compute budget every 1024 pops
-            check_budget()
-        d, u = heapq.heappop(heap)
-        if settled[u]:
-            continue
-        settled[u] = True
-        if u != dest and not fabric.is_switch(u):
-            continue  # terminals never forward traffic for others
-        # Relax predecessors v of u: forward channel c = (v -> u) is the
-        # reverse of each outgoing channel (u -> v).
-        for c_out in fabric.out_channels(u):
-            c = int(reverse[c_out])
-            v = int(chan_dst[c_out])
-            if settled[v]:
-                continue
-            nd = d + int(weights[c])
-            if nd < dist[v] or (nd == dist[v] and c < parent[v]):
-                dist[v] = nd
-                parent[v] = c
-                heapq.heappush(heap, (nd, v))
-    return dist, parent
-
-
-_dijkstra_to_dest = dijkstra_to_dest  # backwards-compatible private alias
+        return RoutingTables(fabric, next_channel, engine=self.name), total, weights, columns

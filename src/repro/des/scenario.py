@@ -30,6 +30,8 @@ injector is re-seeded per engine), different forwarding tables.
 
 from __future__ import annotations
 
+import inspect
+import math
 from dataclasses import dataclass, field
 
 from repro.des.engine import FaultSpec, LinkParams, PacketDES
@@ -54,16 +56,14 @@ _DEFAULTS = {
     "max_retransmits": 16,
     "record_events": False,
     "max_events": 5_000_000,
-    # Constructor options for the SSSP/DFSSSP engines (e.g. {"kernel":
-    # "numpy", "workers": 4}); other engines ignore them. The des CLI
-    # fills this from --kernel/--workers/--cdg so sweeps can pin the
-    # kernel uniformly. Routing results are bit-identical across kernels
-    # and worker counts, so this only affects routing wall time.
+    # Constructor options for the SSSP/DFSSSP engines (e.g. {"dest_order":
+    # "random", "cdg": "rebuild"}); other engines ignore them, and "cdg"
+    # reaches DFSSSP only. The des CLI fills "cdg" from --cdg.
     "engine_opts": {},
 }
 
 #: engines whose constructors accept ``engine_opts``
-_PARALLEL_ENGINES = ("sssp", "dfsssp")
+_OPTION_ENGINES = ("sssp", "dfsssp")
 
 _LINK_DEFAULTS = {"bandwidth_gbps": 100.0, "propagation_us": 0.5, "mtu_bytes": 4096}
 
@@ -93,16 +93,66 @@ def normalize_scenario(spec: dict) -> dict:
             raise SimulationError(
                 f"unknown engine {name!r}; known: {sorted(ENGINES)}"
             )
-    out["faults"] = [
-        {"at_s": float(f["at_s"]), "count": int(f.get("count", 1))}
-        for f in out["faults"]
-    ]
+    out["faults"] = _normalize_faults(out["faults"])
     if not isinstance(out["engine_opts"], dict):
         raise SimulationError(
             f"engine_opts must be a dict, got {type(out['engine_opts']).__name__}"
         )
     out["engine_opts"] = dict(out["engine_opts"])
+    for name in out["engines"]:
+        _make_engine(name, out["engine_opts"])  # reject bad options up front
     return out
+
+
+def _normalize_faults(faults) -> list[dict]:
+    """``[{"at_s": float >= 0, "count": int >= 1}, ...]`` or a
+    :class:`SimulationError` naming the offending fault index."""
+    if not isinstance(faults, list):
+        raise SimulationError(f"faults must be a list, got {type(faults).__name__}")
+    out = []
+    for i, f in enumerate(faults):
+        if not isinstance(f, dict):
+            raise SimulationError(f"faults[{i}] must be a dict, got {type(f).__name__}")
+        bad = set(f) - {"at_s", "count"}
+        if bad:
+            raise SimulationError(f"faults[{i}]: unknown keys {sorted(bad)}")
+        at_s, count = f.get("at_s"), f.get("count", 1)
+        if isinstance(at_s, bool) or not isinstance(at_s, (int, float)) \
+                or not math.isfinite(at_s) or at_s < 0:
+            raise SimulationError(
+                f"faults[{i}].at_s must be a finite number >= 0, got {at_s!r}"
+            )
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise SimulationError(f"faults[{i}].count must be an integer >= 1, got {count!r}")
+        out.append({"at_s": float(at_s), "count": count})
+    return out
+
+
+def _make_engine(name: str, engine_opts: dict):
+    """Engine ``name`` built with the scenario's ``engine_opts``.
+
+    Options are checked against the constructor's parameters first, so a
+    misspelt or removed option is a :class:`SimulationError` naming the
+    key rather than a raw ``TypeError``; rejected values (``ValueError``)
+    are wrapped the same way.
+    """
+    cls = ENGINES[name]
+    if name not in _OPTION_ENGINES:
+        return cls()
+    opts = dict(engine_opts)
+    if name != "dfsssp":
+        opts.pop("cdg", None)  # cycle breaking is DFSSSP-only
+    params = inspect.signature(cls.__init__).parameters
+    for key in opts:
+        if key == "self" or key not in params:
+            raise SimulationError(
+                f"engine_opts: {key!r} is not an option of engine {name!r}; "
+                f"known: {sorted(set(params) - {'self'})}"
+            )
+    try:
+        return cls(**opts)
+    except (TypeError, ValueError) as err:
+        raise SimulationError(f"engine_opts for engine {name!r}: {err}") from err
 
 
 def build_scenario_fabric(topology: dict) -> Fabric:
@@ -205,10 +255,7 @@ def run_scenario(spec: dict, fabric: Fabric | None = None) -> ScenarioReport:
         wl_spec.setdefault("seed", spec["seed"])
     with span("des.scenario", scenario=spec["name"], workload=wl_kind):
         for name in spec["engines"]:
-            opts = dict(spec["engine_opts"]) if name in _PARALLEL_ENGINES else {}
-            if name != "dfsssp":
-                opts.pop("cdg", None)  # cycle breaking is DFSSSP-only
-            engine = ENGINES[name](**opts)
+            engine = _make_engine(name, spec["engine_opts"])
             try:
                 result = engine.route(fabric)
                 workload = make_workload(wl_kind, fabric, **wl_spec)

@@ -62,8 +62,7 @@ class ServiceError(ReproError):
 
 class FleetError(ReproError):
     """The fleet manager cannot be configured or operated as requested —
-    unknown fabric ids, invalid sharding, or per-worker engine options
-    that cannot run inside a daemonized worker process."""
+    unknown fabric ids, invalid sharding or worker settings."""
 
 
 class UnsupportedTopologyError(RoutingError):

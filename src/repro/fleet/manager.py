@@ -35,8 +35,7 @@ before serving — the manager records each respawn with per-shard
 Workers are started via the ``forkserver`` (fallback ``spawn``) start
 method: the manager is multi-threaded and metrics registries hold locks,
 so ``fork`` could deadlock a child. That makes workers daemonic
-processes, which cannot have children of their own — hence
-``engine_opts`` requesting the parallel executor is rejected up front.
+processes, which cannot have children of their own.
 """
 
 from __future__ import annotations
@@ -112,12 +111,6 @@ class FleetConfig:
         if self.degraded_delay_s < 0:
             raise FleetError(
                 f"degraded_delay_s must be >= 0, got {self.degraded_delay_s}"
-            )
-        if int(self.engine_opts.get("workers") or 1) > 1:
-            raise FleetError(
-                "engine_opts requesting the parallel executor cannot run inside "
-                "fleet workers (daemonic processes may not have children); "
-                "drop engine_opts['workers'] or serve the fabric in-process"
             )
 
 

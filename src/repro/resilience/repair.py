@@ -8,10 +8,14 @@ columns. :func:`repair_routing` instead
 1. translates the surviving forwarding entries onto the degraded fabric
    (node and channel ids are renumbered by the rebuild; the
    :class:`~repro.network.faults.DegradedFabric` maps drive the splice),
-2. re-runs Dijkstra *only* for the destinations whose columns lost an
-   entry, reusing the surviving balancing weights so the repaired routes
-   stay globally balanced and hop-minimal (the §II weight argument is
-   unaffected: total accumulated weight stays below ``W0``),
+2. recomputes *only* the destination columns that lost an entry, with
+   the exact column primitive (:class:`~repro.core.column.ColumnRouter`)
+   on the surviving balancing weights, so the repaired routes stay
+   globally balanced. Repairs keep adding weight: a chain of them pushes
+   channels well past ``W0``, where the primitive's run-time weight
+   bound no longer proves a column and it validates or falls back to
+   the heap Dijkstra instead — the columns equal a Dijkstra on those
+   weights either way (``stats["columns"]`` counts which),
 3. re-verifies deadlock-freedom incrementally: the untouched paths keep
    their virtual layers (any subset of an acyclic CDG is acyclic), and
    each repaired path is re-inserted into its old layer first, escalating
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.sssp import dijkstra_to_dest, update_weights_for_dest
+from repro.core.column import ColumnRouter, record_column_counts
 from repro.deadlock.verify import build_layer_cdgs, verify_deadlock_free
 from repro.exceptions import InsufficientLayersError, RepairError, RoutingError
 from repro.network.faults import DegradedFabric
@@ -168,17 +172,14 @@ def repair_routing(
             next_channel, affected = translate_tables(prior, degraded)
             weights = _translate_weights(prior, degraded)
 
-        is_term = new.kinds == 1  # NodeKind.TERMINAL
         with span("repair.dijkstra", destinations=len(affected)):
+            router = ColumnRouter(
+                new, dests=new.terminals[affected], count_switch_sources=count_switch_sources
+            )
             for t_idx in affected:
                 check_budget()  # cooperative deadline (repro.service)
-                dest = int(new.terminals[t_idx])
-                dist, parent = dijkstra_to_dest(new, dest, weights)
-                next_channel[:, t_idx] = parent
-                update_weights_for_dest(
-                    new, dest, dist, parent, weights, is_term,
-                    count_switch_sources=count_switch_sources,
-                )
+                next_channel[:, t_idx], _ = router.advance(int(new.terminals[t_idx]), weights)
+            columns = record_column_counts(router.counts)
 
         tables = RoutingTables(new, next_channel, engine=engine)
         # Doubles as the reachability check: raises on any missing entry.
@@ -200,6 +201,7 @@ def repair_routing(
 
     stats = {
         "engine": engine,
+        "columns": columns,
         "repair": {
             "destinations_repaired": int(len(affected)),
             "destinations_total": int(T),

@@ -151,11 +151,10 @@ class RoutingSupervisor:
         Jitter RNG seed (backoff determinism in tests).
     engine_opts:
         Keyword options forwarded to :func:`make_engine` when ``engine``
-        is a name (e.g. ``{"workers": 4, "kernel": "numpy"}`` to run the
-        SSSP phase on the parallel executor). Persisted in checkpoints
-        and re-applied on :meth:`restore`, so a restored service keeps
-        its parallel configuration. Ignored when ``engine`` is already an
-        instance.
+        is a name (e.g. ``{"cdg": "rebuild", "dest_order": "random"}``).
+        Persisted in checkpoints and re-applied on :meth:`restore`, so a
+        restored service keeps its engine configuration. Ignored when
+        ``engine`` is already an instance.
     """
 
     def __init__(
@@ -174,9 +173,16 @@ class RoutingSupervisor:
     ):
         self.policy = policy or ServicePolicy()
         self.engine_opts = {} if isinstance(engine, RoutingEngine) else dict(engine_opts or {})
-        self.engine = (
-            engine if isinstance(engine, RoutingEngine) else make_engine(engine, **self.engine_opts)
-        )
+        if isinstance(engine, RoutingEngine):
+            self.engine = engine
+        else:
+            try:
+                self.engine = make_engine(engine, **self.engine_opts)
+            except (TypeError, ValueError) as err:  # e.g. a checkpoint's removed option
+                raise ServiceError(
+                    f"engine_opts {sorted(self.engine_opts)} rejected by engine "
+                    f"{engine!r}: {err}"
+                ) from err
         self.clock = clock
         self.sleep = sleep
         self.rng = make_rng(seed)

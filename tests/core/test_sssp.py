@@ -54,7 +54,7 @@ def test_random_dest_order_seeded(random16):
 def test_random_dest_order_unseeded_is_reproducible(random16):
     """``seed=None`` must not mean OS entropy: the engine derives a
     stable per-fabric seed, so two unseeded runs (even in different
-    processes — see the parallel differential suite) agree exactly."""
+    processes) agree exactly."""
     a = SSSPEngine(dest_order="random").route(random16).tables.next_channel
     b = SSSPEngine(dest_order="random").route(random16).tables.next_channel
     assert (a == b).all()

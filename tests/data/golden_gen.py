@@ -13,11 +13,10 @@ repo: the fixture stores sha256 digests of the canonical array bytes
 (dtype-pinned, C-order) instead. A digest can't show *which* entry
 drifted, but at this size the small fixtures above always drift too and
 carry the readable diff; the 1k pin is there to catch scale-dependent
-drift (batching, sharding, kernel dispatch) that tiny fabrics can't see.
-The recompute uses the fast path (``kernel="numpy"``) to keep tier-1
-time in budget — bit-identity of kernels is proven separately by
-``tests/parallel/test_differential.py``, so the digest pins the shared
-answer, not one kernel's.
+drift (hop-table dtype, the column primitive's weight bound) that tiny
+fabrics can't see. The recompute uses the default engines; their
+bit-identity with the heap-Dijkstra oracle is proven separately by
+``tests/core/test_column.py``, so the digest pins the shared answer.
 
 ``tests/data/golden/des_*.json`` extend the same idea to the packet
 level: they pin the full event log (sends, arrivals, deliveries, drops,
@@ -89,7 +88,7 @@ def compute_golden_digest(name: str) -> dict:
         "engines": {},
     }
     for engine_name, engine_cls in ENGINES.items():
-        result = engine_cls(kernel="numpy").route(fabric)
+        result = engine_cls().route(fabric)
         entry = {
             "next_channel_sha256": _digest(result.tables.next_channel, np.int32),
             "channel_weights_sha256": _digest(result.channel_weights, np.int64),

@@ -55,6 +55,70 @@ def test_normalize_rejects_malformed_scenarios(spec, match):
         normalize_scenario(spec)
 
 
+def test_normalize_rejects_unknown_engine_option():
+    spec = {"topology": {"family": "ring"}, "engine_opts": {"kernal": "numpy"}}
+    with pytest.raises(SimulationError, match="'kernal' is not an option"):
+        normalize_scenario(spec)
+
+
+@pytest.mark.parametrize("opts", [{"workers": 2}, {"kernel": "numpy"}, {"batch": 4},
+                                  {"shm": False}])
+def test_normalize_rejects_removed_engine_options(opts):
+    spec = {"topology": {"family": "ring"}, "engine_opts": opts}
+    with pytest.raises(SimulationError, match=repr(next(iter(opts)))):
+        normalize_scenario(spec)
+
+
+def test_normalize_rejects_removed_cdg_value():
+    spec = {"topology": {"family": "ring"}, "engines": ["dfsssp"],
+            "engine_opts": {"cdg": "sharded"}}
+    with pytest.raises(SimulationError, match="cdg"):
+        normalize_scenario(spec)
+    # cdg is DFSSSP-only and silently skipped for other engines
+    spec["engines"] = ["sssp"]
+    assert normalize_scenario(spec)["engine_opts"] == {"cdg": "sharded"}
+
+
+def test_normalize_rejects_non_numeric_fault_time():
+    spec = {"topology": {"family": "ring"}, "faults": [{"at_s": 1e-6}, {"at_s": "soon"}]}
+    with pytest.raises(SimulationError, match=r"faults\[1\]\.at_s"):
+        normalize_scenario(spec)
+
+
+def test_normalize_rejects_non_dict_fault():
+    spec = {"topology": {"family": "ring"}, "faults": [5]}
+    with pytest.raises(SimulationError, match=r"faults\[0\] must be a dict"):
+        normalize_scenario(spec)
+
+
+@pytest.mark.parametrize(
+    ("faults", "match"),
+    [
+        ({"at_s": 1.0}, "faults must be a list"),
+        ([{}], r"faults\[0\]\.at_s"),
+        ([{"at_s": -1.0}], r"faults\[0\]\.at_s"),
+        ([{"at_s": float("nan")}], r"faults\[0\]\.at_s"),
+        ([{"at_s": True}], r"faults\[0\]\.at_s"),
+        ([{"at_s": 0.0, "count": 0}], r"faults\[0\]\.count"),
+        ([{"at_s": 0.0, "count": 1.5}], r"faults\[0\]\.count"),
+        ([{"at_s": 0.0, "when": 1}], r"faults\[0\]: unknown keys"),
+    ],
+)
+def test_normalize_rejects_malformed_faults(faults, match):
+    with pytest.raises(SimulationError, match=match):
+        normalize_scenario({"topology": {"family": "ring"}, "faults": faults})
+
+
+def test_normalize_keeps_valid_faults_and_options():
+    spec = normalize_scenario({
+        "topology": {"family": "ring"},
+        "faults": [{"at_s": 0, "count": 2}],
+        "engine_opts": {"dest_order": "random", "cdg": "rebuild"},
+    })
+    assert spec["faults"] == [{"at_s": 0.0, "count": 2}]
+    assert spec["engine_opts"] == {"dest_order": "random", "cdg": "rebuild"}
+
+
 def test_build_scenario_fabric_families():
     ring = build_scenario_fabric({"family": "ring", "switches": 4})
     assert ring.num_switches == 4

@@ -46,10 +46,6 @@ def test_config_validation():
         FleetConfig(workers=0)
     with pytest.raises(FleetError):
         FleetConfig(retries=-1)
-    # daemonized workers cannot host their own process pools
-    with pytest.raises(FleetError):
-        FleetConfig(engine_opts={"workers": 4})
-    FleetConfig(engine_opts={"workers": 1})  # serial engine is fine
 
 
 def test_spawn_shards_across_workers(fleet):

@@ -1,22 +1,18 @@
-"""Executor tests: scheduling, budgets, fallback, metrics and spans."""
+"""Engine-level tests of the column primitive: budgets, the fallback arm,
+metrics and spans."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro import topologies
-from repro.core import SSSPEngine
+from repro.core import DFSSSPEngine, SSSPEngine
+from repro.core.column import OUTCOMES, ExactReduction
 from repro.exceptions import ComputeTimeoutError
 from repro.obs import InMemorySink, get_registry, use_sink
-from repro.parallel import ExactReduction, run_parallel_sssp
-from repro.parallel.executor import (
-    _budget_snapshot,
-    _chunks,
-    _hop_columns_task,
-    _init_worker,
-)
 from repro.service.budget import compute_budget
+
+from tests.parallel.test_differential import assert_matches_oracle, oracle_route
 
 
 @pytest.fixture(scope="module")
@@ -31,127 +27,53 @@ def _fresh_registry():
     get_registry().reset()
 
 
-def test_chunks_cover_and_preserve_order():
-    items = list(range(11))
-    for n in range(1, 14):
-        chunks = _chunks(items, n)
-        assert sum(chunks, []) == items  # partition, in order
-        assert len(chunks) == min(n, len(items))
-        sizes = [len(c) for c in chunks]
-        assert max(sizes) - min(sizes) <= 1  # near-equal
-
-
-def test_budget_snapshot_without_budget():
-    assert _budget_snapshot() == (None, "compute")
-
-
-def test_budget_snapshot_forwards_remaining():
-    with compute_budget(30.0, label="full_reroute"):
-        remaining, label = _budget_snapshot()
-    assert label == "full_reroute"
-    assert 0 < remaining <= 30.0
-
-
-def test_worker_task_ships_timeout_as_data(fabric):
-    """Workers re-arm the deadline and return it as a picklable tuple."""
-    _init_worker(fabric, "numpy")
-    dests = [int(d) for d in fabric.terminals[:3]]
-    status, payload, records = _hop_columns_task(dests, 0.0, "repair")
-    assert status == "timeout"
-    message, label, limit_s, elapsed_s = payload
-    assert label == "repair"
-    assert limit_s == 0.0
-    assert elapsed_s >= 0.0
-    assert "budget" in message
-    assert records == []  # no carrier → no span capture
-
-
-def test_worker_task_ok_without_budget(fabric):
-    _init_worker(fabric, "numpy")
-    dests = [int(d) for d in fabric.terminals[:3]]
-    status, columns, records = _hop_columns_task(dests, None, "compute")
-    assert status == "ok"
-    assert len(columns) == 3
-    assert records == []
-    for col in columns:
-        assert col.shape == (fabric.num_nodes,)
-
-
-def test_worker_task_captures_spans_when_carrier_asks(fabric):
-    _init_worker(fabric, "numpy")
-    dests = [int(d) for d in fabric.terminals[:3]]
-    carrier = {"request_id": "req-ff00", "capture": True}
-    status, columns, records = _hop_columns_task(dests, None, "compute", carrier)
-    assert status == "ok"
-    assert [r["name"] for r in records] == ["parallel.hop_column"] * 3
-    assert [r["attrs"]["dest"] for r in records] == dests
-    assert all(r["attrs"]["request_id"] == "req-ff00" for r in records)
-    assert all(r["attrs"]["pid"] > 0 for r in records)
-
-
 def test_parallel_run_honours_expired_budget(fabric):
-    """An exhausted deadline surfaces as ComputeTimeoutError — from the
-    worker or from the parent-side poll, whichever trips first — so the
-    supervisor's escalation ladder works unchanged with workers."""
-    engine = SSSPEngine(workers=2, kernel="numpy")
-    with pytest.raises(ComputeTimeoutError):
-        with compute_budget(0.0, label="repair"):
-            engine.route(fabric)
+    """An exhausted deadline surfaces as ComputeTimeoutError from every
+    engine on the primitive, so the supervisor's escalation ladder works
+    unchanged."""
+    for engine in (SSSPEngine(), DFSSSPEngine()):
+        with pytest.raises(ComputeTimeoutError):
+            with compute_budget(0.0, label="repair"):
+                engine.route(fabric)
 
 
-def test_validation_fallback_still_bit_identical(fabric, monkeypatch):
-    """Force every reduction column to fail validation: the executor must
-    re-run the full Dijkstra per destination and still match serial."""
-    base = SSSPEngine().route(fabric)
+def test_validation_fallback_still_bit_identical(monkeypatch):
+    """Force every column outside the weight bound to fail validation: the
+    engine must re-run the full Dijkstra per such destination and still
+    match the oracle. Switch sources on a ring push the weights past the
+    bound, so the non-proven arm is really taken."""
+    fabric = topologies.ring(8, terminals_per_switch=2)
+    tables, weights = oracle_route(fabric, count_switch_sources=True)
     monkeypatch.setattr(ExactReduction, "validate", lambda self, *a, **k: False)
-    par = SSSPEngine(workers=2, kernel="numpy").route(fabric)
-    assert np.array_equal(par.tables.next_channel, base.tables.next_channel)
-    assert np.array_equal(par.channel_weights, base.channel_weights)
-    fallbacks = get_registry().counter(
-        "routing_parallel_fallbacks", "", engine="sssp"
-    )
-    assert fallbacks.value == fabric.num_terminals
+    result = SSSPEngine(count_switch_sources=True).route(fabric)
+    assert_matches_oracle(result, tables, weights)
+    columns = result.stats["columns"]
+    assert columns["validated"] == 0
+    assert columns["fallback"] > 0
+    assert columns["proven"] + columns["fallback"] == fabric.num_terminals
+    reg = get_registry()
+    assert reg.value("sssp_columns_total", outcome="fallback") == columns["fallback"]
 
 
 def test_parallel_metrics_and_spans(fabric):
-    order = np.arange(fabric.num_terminals)
+    """One ``sssp.run`` span per route with one ``sssp.dijkstra`` child per
+    destination carrying its outcome; the registry counts the same."""
     sink = InMemorySink()
     with use_sink(sink):
-        next_channel, weights = run_parallel_sssp(
-            fabric, order, workers=2, kernel="numpy", batch=4
-        )
-    assert next_channel.shape == (fabric.num_nodes, fabric.num_terminals)
-    assert weights.shape == (fabric.num_channels,)
-
-    reg = get_registry()
+        result = SSSPEngine().route(fabric)
     T = fabric.num_terminals
-    expected_batches = -(-T // 4)  # ceil
-    assert reg.gauge("routing_parallel_workers", "", engine="sssp").value == 2
-    assert reg.counter("routing_parallel_columns", "", engine="sssp").value == T
-    assert reg.counter("routing_parallel_batches", "", engine="sssp").value == (
-        expected_batches
-    )
-    assert reg.counter("sssp_sources_routed", "").value == T
-    assert reg.histogram("routing_parallel_batch_seconds", "").count == expected_batches
+    reg = get_registry()
+    assert reg.value("sssp_sources_routed") == T
+    assert reg.histogram("sssp_dijkstra_seconds", "").count == T
+    assert sum(reg.value("sssp_columns_total", outcome=o) for o in OUTCOMES) == T
 
-    runs = sink.find("parallel.run")
-    assert len(runs) == 1
-    assert runs[0].attrs["workers"] == 2
-    assert runs[0].attrs["kernel"] == "numpy"
-    batches = sink.find("parallel.batch")
-    assert len(batches) == expected_batches
-    assert sum(s.attrs["columns"] for s in batches) == T
-
-
-def test_run_parallel_rejects_zero_workers(fabric):
-    with pytest.raises(ValueError, match="workers"):
-        run_parallel_sssp(fabric, np.arange(fabric.num_terminals), workers=0)
-
-
-def test_executor_python_kernel_matches_serial(fabric):
-    """The python worker kernel literally fans out the reference heap
-    Dijkstra on unit weights — results must still be exact."""
-    base = SSSPEngine().route(fabric)
-    par = SSSPEngine(workers=3, kernel="python").route(fabric)
-    assert np.array_equal(par.tables.next_channel, base.tables.next_channel)
-    assert np.array_equal(par.channel_weights, base.channel_weights)
+    (run,) = sink.find("sssp.run")
+    assert run.attrs["destinations"] == T
+    columns = sink.find("sssp.dijkstra")
+    assert len(columns) == T
+    assert all(sp.parent is run for sp in columns)
+    assert sorted(sp.attrs["dest"] for sp in columns) == sorted(map(int, fabric.terminals))
+    by_outcome = {o: 0 for o in OUTCOMES}
+    for sp in columns:
+        by_outcome[sp.attrs["outcome"]] += 1
+    assert by_outcome == result.stats["columns"]

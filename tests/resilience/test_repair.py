@@ -198,3 +198,60 @@ def test_chained_repairs_compose(random16):
         assert path_minimality_violations(result.tables, paths) == 0
         prev = cur
     assert result.stats.get("repair"), "last step should still be incremental"
+
+
+def _oracle_repair(prior, degraded):
+    """Incremental repair with the heap Dijkstra and farthest-first update."""
+    from repro.core.sssp import dijkstra_to_dest, update_weights_for_dest
+    from repro.resilience.repair import _translate_weights
+
+    new = degraded.fabric
+    next_channel, affected = translate_tables(prior, degraded)
+    weights = _translate_weights(prior, degraded)
+    is_term = new.kinds == 1
+    for t_idx in affected:
+        dest = int(new.terminals[t_idx])
+        dist, parent = dijkstra_to_dest(new, dest, weights)
+        next_channel[:, t_idx] = parent
+        update_weights_for_dest(new, dest, dist, parent, weights, is_term)
+    return next_channel, weights
+
+
+def test_chained_repairs_past_w0_stay_bit_identical_to_the_oracle():
+    """A chain of single-cable repairs carries balancing weight forward
+    until every channel sits above W0 and the weight bound stops proving
+    columns. The primitive must then validate (or fall back) and still
+    match the heap oracle bit for bit, step after step."""
+    from repro.exceptions import DisconnectedFabricError
+    from repro.network.faults import fail_specific_cable
+
+    fabric = topologies.dragonfly(4, 2, 2)
+    w0 = fabric.num_terminals ** 2 + 1
+    engine = SSSPEngine()
+    result = engine.route(fabric)
+    rng = np.random.default_rng(0)
+    totals = {"proven": 0, "validated": 0, "fallback": 0}
+    steps = 0
+    while steps < 30:
+        fab = result.tables.fabric
+        cid = int(rng.choice(np.flatnonzero(fab.is_switch_channel)))
+        a, b = int(fab.channels.src[cid]), int(fab.channels.dst[cid])
+        degraded = fail_specific_cable(fab, a, b)
+        try:
+            repaired = engine.reroute(result, degraded)
+        except DisconnectedFabricError:
+            continue
+        assert "repair" in repaired.stats  # incremental, not a full reroute
+        tables, weights = _oracle_repair(result, degraded)
+        np.testing.assert_array_equal(repaired.tables.next_channel, tables)
+        np.testing.assert_array_equal(repaired.channel_weights, weights)
+        for outcome, n in repaired.stats["columns"].items():
+            totals[outcome] += n
+        assert sum(repaired.stats["columns"].values()) == (
+            repaired.stats["repair"]["destinations_repaired"]
+        )
+        result = repaired
+        steps += 1
+    assert int(result.channel_weights.min()) > w0  # W0 no longer bounds anything
+    assert totals["validated"] + totals["fallback"] > 0  # the non-proven arms ran
+    assert totals["proven"] > 0

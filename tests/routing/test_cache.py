@@ -52,7 +52,7 @@ def test_key_covers_engine_and_options(fabric):
     base = cache_key(fp, "dfsssp", {})
     assert cache_key(fp, "dfsssp", {}) == base  # deterministic
     assert cache_key(fp, "sssp", {}) != base
-    assert cache_key(fp, "dfsssp", {"workers": 4}) != base
+    assert cache_key(fp, "dfsssp", {"cdg": "rebuild"}) != base
     # option dict ordering must not split the cache
     assert cache_key(fp, "dfsssp", {"a": 1, "b": 2}) == cache_key(
         fp, "dfsssp", {"b": 2, "a": 1}
@@ -62,7 +62,7 @@ def test_key_covers_engine_and_options(fabric):
 def test_options_partition_entries(tmp_path, fabric, result):
     cache = RoutingCache(tmp_path)
     cache.store(fabric, "dfsssp", {}, result)
-    assert cache.load(fabric, "dfsssp", {"kernel": "numpy"}) is None
+    assert cache.load(fabric, "dfsssp", {"cdg": "rebuild"}) is None
     assert cache.load(fabric, "sssp", {}) is None
 
 

@@ -109,9 +109,9 @@ def test_routes_match_golden(topology):
 def test_routes_match_golden_digest(topology):
     """The ~1k-endpoint pin: digests of the canonical array bytes.
 
-    When this fails alone, the drift is scale-dependent (batching,
-    sharding, kernel dispatch); when the small fixtures fail too, their
-    diff says what changed.
+    When this fails alone, the drift is scale-dependent (hop-table
+    dtype, the column primitive's weight bound); when the small fixtures
+    fail too, their diff says what changed.
     """
     path = golden_path(topology)
     assert path.is_file(), (

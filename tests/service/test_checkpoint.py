@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro import topologies
-from repro.exceptions import CheckpointError
+from repro.exceptions import CheckpointError, ServiceError
 from repro.resilience import FaultInjector
 from repro.service import (
     BackoffPolicy,
@@ -38,9 +38,9 @@ def _run_events(sup, fabric, n, seed=5, skip=0):
 
 
 def test_engine_opts_survive_restore(tmp_path, fabric):
-    """A parallel-configured service restores with the same configuration
-    (and stays bit-compatible with its serial checkpoints)."""
-    opts = {"workers": 2, "kernel": "numpy"}
+    """A service configured with engine options restores with the same
+    configuration (and serves the same tables)."""
+    opts = {"cdg": "rebuild", "heuristic": "strongest"}
     sup = RoutingSupervisor(
         fabric,
         engine="dfsssp",
@@ -48,26 +48,33 @@ def test_engine_opts_survive_restore(tmp_path, fabric):
         checkpoint_dir=tmp_path / "ckpt",
         engine_opts=opts,
     )
-    assert sup.engine._sssp.workers == 2
-    assert sup.engine._sssp.kernel == "numpy"
+    assert sup.engine.cdg == "rebuild"
+    assert sup.engine.heuristic == "strongest"
     expected = sup.serving()
 
     restored = RoutingSupervisor.restore(tmp_path / "ckpt")
     assert restored.engine_opts == opts
-    assert restored.engine._sssp.workers == 2
-    assert restored.engine._sssp.kernel == "numpy"
+    assert restored.engine.cdg == "rebuild"
+    assert restored.engine.heuristic == "strongest"
     served = restored.serving()
     assert np.array_equal(
         served.result.tables.next_channel, expected.result.tables.next_channel
     )
 
-    # Serial supervisor over the same fabric serves identical tables: the
-    # parallel options change execution, never results.
-    serial = RoutingSupervisor(fabric, engine="dfsssp", policy=FAST)
+    # A default supervisor over the same fabric serves identical tables:
+    # layer options choose buffers, never routes.
+    default = RoutingSupervisor(fabric, engine="dfsssp", policy=FAST)
     assert np.array_equal(
-        serial.serving().result.tables.next_channel,
+        default.serving().result.tables.next_channel,
         expected.result.tables.next_channel,
     )
+
+
+def test_removed_engine_option_is_a_typed_error(tmp_path, fabric):
+    """engine_opts naming an option the engine no longer has (as an old
+    checkpoint may) fail as a ServiceError naming it, not a TypeError."""
+    with pytest.raises(ServiceError, match="workers"):
+        RoutingSupervisor(fabric, engine="dfsssp", policy=FAST, engine_opts={"workers": 2})
 
 
 def test_checkpoint_restore_round_trip(tmp_path, fabric):

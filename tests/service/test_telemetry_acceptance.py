@@ -1,11 +1,10 @@
 """Acceptance: one request_id query reconstructs a full escalation tree.
 
 The tentpole property of the telemetry layer: after a reroute that
-escalates through at least two ladder rungs and fans its full route out
-to parallel workers, a *single* ``request_id`` query over the JSONL
-trace recovers the complete causal tree — supervisor batch, each rung
-attempt, the parallel run/batches, and the replayed per-destination
-worker spans with their pids. Plus: the ``(service_id, request_seq)``
+escalates through at least two ladder rungs, a *single* ``request_id``
+query over the JSONL trace recovers the complete causal tree —
+supervisor batch, each rung attempt, and the full route's
+per-destination column spans. Plus: the ``(service_id, request_seq)``
 namespace survives checkpoint/restore, so request ids stay unique
 across a crash, and checkpoints carry a flight-recorder dump.
 """
@@ -25,13 +24,21 @@ from repro.service import BackoffPolicy, RoutingSupervisor, ServicePolicy
 
 @pytest.fixture()
 def fabric():
-    # Big enough that one full route fans out many worker chunks.
     return topologies.random_topology(24, 52, terminals_per_switch=2, seed=7)
 
 
 FAST = ServicePolicy(backoff=BackoffPolicy(base_s=0.0, jitter=0.0, max_attempts=1))
 #: repair rung always times out → every batch escalates repair → full
 ESCALATING = FAST.with_(repair_deadline_s=0.0)
+
+
+def _under(node, ancestor, nodes) -> bool:
+    by_id = {n.span_id: n for n in nodes}
+    while node is not None:
+        if node.span_id == ancestor.span_id:
+            return True
+        node = by_id.get(node.parent_id)
+    return False
 
 
 def _walk(nodes):
@@ -46,28 +53,14 @@ def test_single_request_id_query_reconstructs_escalation_tree(fabric, tmp_path):
     with use_sink(sink):
         sup = RoutingSupervisor(
             fabric, engine="dfsssp", policy=ESCALATING,
-            engine_opts={"workers": 2, "kernel": "python"},
             sleep=lambda _s: None,
         )
         injector = FaultInjector(fabric, seed=9, p_switch_down=0.0, p_link_up=0.0)
-        # Each batch is an independent chance to observe both workers; the
-        # tree itself must be complete on every attempt.
-        chosen = None
-        for _ in range(5):
-            sup.submit(injector.step()[0])
-            outcome = sup.process()
-            assert outcome.ok and outcome.action == "full"
-            assert outcome.timeouts >= 1  # the repair rung expired
-            assert outcome.request_id is not None
-            chosen = outcome
-            sink._fp.flush()
-            roots = build_trace_tree(read_trace(trace), request_id=outcome.request_id)
-            nodes = list(_walk(roots))
-            pids = {
-                n.attrs["pid"] for n in nodes if n.name == "parallel.hop_column"
-            }
-            if len(pids) >= 2:
-                break
+        sup.submit(injector.step()[0])
+        chosen = sup.process()
+        assert chosen.ok and chosen.action == "full"
+        assert chosen.timeouts >= 1  # the repair rung expired
+        assert chosen.request_id is not None
     sink.close()
 
     records = read_trace(trace)
@@ -91,15 +84,17 @@ def test_single_request_id_query_reconstructs_escalation_tree(fabric, tmp_path):
     repair = next(n for n in attempts if n.attrs["rung"] == "repair")
     assert repair.status == "error"  # the budget expiry marked it
 
-    # the full route fanned out: parallel run → batches → worker columns
-    assert any(n.name == "parallel.run" for n in nodes)
-    hops = [n for n in nodes if n.name == "parallel.hop_column"]
-    assert len(hops) == fabric.num_terminals  # complete: every destination
-    assert len({n.attrs["pid"] for n in hops}) >= 2  # ≥2 worker processes
-    # worker spans hang under a batch span of *this* tree (re-parented)
-    batches = [n for n in nodes if n.name == "parallel.batch"]
-    batch_ids = {n.span_id for n in batches}
-    assert all(h.parent_id in batch_ids for h in hops)
+    # the full route ran inside this request: one column span per
+    # destination, each under an sssp.run span of *this* tree
+    runs = [n for n in nodes if n.name == "sssp.run"]
+    assert runs
+    columns = [n for n in nodes if n.name == "sssp.dijkstra"]
+    run_ids = {n.span_id for n in runs}
+    assert all(c.parent_id in run_ids for c in columns)
+    full = next(n for n in attempts if n.attrs["rung"] == "full")
+    full_columns = [c for c in columns if _under(c, full, nodes)]
+    assert len(full_columns) == fabric.num_terminals  # complete: every destination
+    assert all(c.attrs["outcome"] == "proven" for c in full_columns)
 
     # other requests exist in the trace (the initial route) but are excluded
     all_roots = build_trace_tree(records)
@@ -107,7 +102,7 @@ def test_single_request_id_query_reconstructs_escalation_tree(fabric, tmp_path):
 
     # and the tree renders — spot-check the human view end to end
     text = render_trace_tree(roots)
-    assert "service.batch" in text and "parallel.hop_column" in text
+    assert "service.batch" in text and "sssp.dijkstra" in text
 
 
 def test_request_id_namespace_survives_checkpoint_restore(fabric, tmp_path):

@@ -54,20 +54,28 @@ def test_route_command_loads_saved_fabric(tmp_path, capsys):
 
 
 def test_route_parallel_flags(capsys):
-    """--workers/--kernel reach SSSP/DFSSSP and leave other engines alone."""
+    """--workers/--kernel are gone (one column primitive serves every
+    engine); --cdg reaches DFSSSP and leaves other engines alone; the
+    column outcome counters reach --metrics."""
+    for flag, value in (("--workers", "2"), ("--kernel", "numpy")):
+        with pytest.raises(SystemExit):
+            main(["route", "--family", "ring", "--switches", "5",
+                  "--engines", "sssp", flag, value])
+    capsys.readouterr()
     rc = main(
         ["route", "--family", "ring", "--switches", "5",
          "--terminals-per-switch", "2", "--engines", "minhop,sssp,dfsssp",
-         "--workers", "2", "--kernel", "numpy", "--metrics", "-"]
+         "--cdg", "rebuild", "--metrics", "-"]
     )
     assert rc == 0
     text = capsys.readouterr().out
     assert "minhop" in text and "dfsssp" in text
-    assert 'routing_parallel_workers{engine="sssp"} 2' in text
-    assert 'routing_parallel_fallbacks{engine="sssp"} 0' in text
+    assert 'sssp_columns_total{outcome="proven"} 20' in text
+    assert 'sssp_columns_total{outcome="fallback"} 0' in text
 
 
 def test_route_rejects_unknown_kernel(capsys):
+    # --kernel is gone: one column primitive serves every engine.
     with pytest.raises(SystemExit):
         main(["route", "--family", "ring", "--switches", "5",
               "--engine", "sssp", "--kernel", "cuda"])
@@ -264,6 +272,7 @@ def test_route_metrics_json_and_stats_roundtrip(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "dfsssp_cycles_broken" in text
     assert "sssp_dijkstra_seconds_count" in text  # histograms expand to rows
+    assert "sssp_columns_total" in text and "outcome=proven" in text
 
 
 def test_route_trace_jsonl(tmp_path, capsys):
@@ -288,6 +297,7 @@ def test_route_json_output_roundtrips(capsys):
     assert data["columns"]
     row = data["rows"][0]
     assert row["engine"] == "dfsssp"
+    assert (row["proven"], row["validated"], row["fallback"]) == (10, 0, 0)
 
 
 def test_simulate_json_output_roundtrips(capsys):
